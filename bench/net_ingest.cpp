@@ -4,10 +4,14 @@
 //   1. record-live    direct engine.feed() batches, recorded to a listfile
 //   2. replay-direct  replay_listfile() re-drives a fresh engine from the
 //                     file (no sockets) and verifies every decision
-//   3. replay-socket  the same file drives a real IngestServer through a
-//                     loopback BlockingClient (window flow control), and
-//                     every decision fanned back is compared against the
+//   3. replay-socket  the same file drives a real IngestServer (over a
+//                     one-replica EngineGroup) through a loopback
+//                     BlockingClient (window flow control), and every
+//                     decision fanned back is compared against the
 //                     recorded one
+//
+// The listfile lives in a fresh directory under the system temp directory
+// and is removed when the bench exits.
 //
 // The bench is self-gating: any decision mismatch, dropped frame, or
 // protocol error — or a socket path slower than the throughput floor —
@@ -16,7 +20,10 @@
 // Flags: --sessions=<n> --steps=<n> --cohort=<n> --window=<n>
 //        --floor=<cycles/s socket-path gate, 0 disables>
 #include <cstdio>
+#include <cstdlib>
 #include <deque>
+#include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -30,6 +37,7 @@
 #include "net/server.h"
 #include "obs/metrics.h"
 #include "serve/engine.h"
+#include "serve/group.h"
 
 namespace {
 
@@ -148,12 +156,16 @@ SocketRun replay_over_socket(const std::string& path,
                              const core::ArtifactBundle& bundle,
                              std::size_t window) {
   obs::Registry registry;
-  serve::MonitorEngine engine({.threads = 2, .registry = &registry});
-  engine.register_bundle(bundle);
+  serve::GroupConfig group_config;
+  group_config.replicas = 1;
+  group_config.engine.threads = 2;
+  group_config.engine.registry = &registry;
+  serve::EngineGroup group(group_config);
+  group.register_bundle(bundle);
   net::ServerConfig config;
   config.registry = &registry;
   config.max_queued_events = window * 2;
-  net::IngestServer server(engine, config);
+  net::IngestServer server(group, config);
   server.start();
 
   SocketRun result;
@@ -211,11 +223,36 @@ SocketRun replay_over_socket(const std::string& path,
   for (const auto& [key, queue] : recorded) {
     result.mismatches += queue.size();  // recorded but never reproduced
   }
-  result.latency = engine.latency();
+  result.latency = group.latency();
   server.stop();
   result.server = server.stats();
   return result;
 }
+
+/// A fresh directory under the system temp directory, removed (with
+/// everything in it) on scope exit.
+class ScratchDir {
+ public:
+  ScratchDir() {
+    std::string pattern =
+        (std::filesystem::temp_directory_path() / "aps_net_ingest.XXXXXX")
+            .string();
+    if (::mkdtemp(pattern.data()) == nullptr) {
+      throw std::runtime_error("mkdtemp failed for " + pattern);
+    }
+    path_ = pattern;
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+  [[nodiscard]] const std::filesystem::path& path() const { return path_; }
+
+ private:
+  std::filesystem::path path_;
+};
 
 }  // namespace
 
@@ -227,7 +264,8 @@ int main(int argc, char** argv) {
   const int cohort = flags.get_int("cohort", 8);
   const auto window = static_cast<std::size_t>(flags.get_int("window", 256));
   const double floor_cps = flags.get_double("floor", 10000.0);
-  const std::string path = "net_ingest.listfile";
+  const ScratchDir scratch;
+  const std::string path = (scratch.path() / "net_ingest.listfile").string();
   const std::uint64_t total = sessions * steps;
 
   std::printf("== net ingest bench: %zu sessions x %zu steps ==\n\n",

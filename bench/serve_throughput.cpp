@@ -1,32 +1,39 @@
-// Serving-path throughput A/B: monitor cycles/sec through MonitorEngine,
-// per monitor kind, on the sharded SoA backend (one batched model call per
-// shard per tick) versus the retained per-session scalar backend. Every
-// monitor is built from a bundle that was saved to disk and loaded back —
-// the serving deployment path, no retraining. Per-tick latency percentiles
-// (p50/p95/p99) come from the engine's own instrumentation; everything is
-// recorded into BENCH_serve_throughput.json (stage per
-// monitor/backend/session-count cell), which the CI smoke step parses to
-// fail on a sharded-vs-scalar throughput regression.
+// Serving-path throughput A/B: monitor cycles/sec per monitor kind through
+// the sharded MonitorEngine (one batched model call per shard per tick)
+// versus the scalar reference — one monitor::Monitor per session from the
+// bundle's factory, stepped directly with observe() over a ThreadPool of
+// the same size. Every monitor is built from a bundle that was saved to
+// disk and loaded back — the serving deployment path, no retraining.
+// Per-tick latency percentiles (p50/p95/p99) come from the engine's own
+// instrumentation on the sharded arm and from per-tick timing on the
+// scalar arm; everything is recorded into BENCH_serve_throughput.json
+// (stage per monitor/arm/session-count cell), which the CI smoke step
+// parses to fail on a sharded-vs-scalar throughput regression.
 //
 // Flags:
 //   --sessions-max=<n>   largest session count (default 8192)
 //   --budget-ms=<ms>     measurement window per cell (default 300)
-//   --threads=<n>        engine worker threads (default: hardware)
+//   --threads=<n>        worker threads per arm (default: hardware)
 //   --ml                 bench DT/MLP/LSTM monitors too (default ON; tiny
 //                        synthetic models) — --ml=0 for rule-based only
 //   --dir=<path>         where the bundle file is written (default /tmp)
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <iostream>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/cli.h"
 #include "common/rng.h"
+#include "common/stats.h"
 #include "common/table.h"
+#include "common/thread_pool.h"
 #include "core/monitor_factory.h"
 #include "io/artifact_io.h"
 #include "ml/kernels/kernels.h"
@@ -133,6 +140,13 @@ core::ArtifactBundle build_bundle(bool with_ml) {
   return bundle;
 }
 
+/// A fresh engine with one monitor kind's sessions open, and the
+/// whole-population batch that feeds them.
+struct EngineCell {
+  std::unique_ptr<serve::MonitorEngine> engine;
+  std::vector<serve::SessionInput> batch;
+};
+
 /// One measured cell: warm up (fills LSTM windows, pages weights in), then
 /// feed rotating whole-population batches until the budget elapses; the
 /// engine's own per-tick instrumentation yields cycles/s and percentiles.
@@ -140,11 +154,12 @@ core::ArtifactBundle build_bundle(bool with_ml) {
 /// decision storage — the production hot path (replica workers, the net
 /// front door): no per-tick allocation, and steady-state batches take the
 /// engine's already-grouped fast path.
-serve::LatencySummary measure(serve::MonitorEngine& engine,
-                              std::vector<serve::SessionInput>& batch,
+serve::LatencySummary measure(EngineCell& cell,
                               const std::vector<monitor::Observation>& variants,
                               double budget_ms) {
   using clock = std::chrono::steady_clock;
+  serve::MonitorEngine& engine = *cell.engine;
+  const std::vector<serve::SessionInput>& batch = cell.batch;
   std::vector<serve::SessionId> sessions(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     sessions[i] = batch[i].session;
@@ -170,8 +185,66 @@ serve::LatencySummary measure(serve::MonitorEngine& engine,
   return engine.latency();
 }
 
-const char* backend_name(serve::ServeBackend backend) {
-  return backend == serve::ServeBackend::kSharded ? "sharded" : "scalar";
+/// The scalar arm: one session's monitor per entry, each stepped with
+/// observe() across `pool` every tick. Same warm-up, variant rotation and
+/// budget as measure(); each tick is timed here for the percentiles.
+serve::LatencySummary measure_scalar(
+    ThreadPool& pool, std::vector<std::unique_ptr<monitor::Monitor>>& sessions,
+    const std::vector<monitor::Observation>& variants, double budget_ms) {
+  using clock = std::chrono::steady_clock;
+  std::vector<monitor::Decision> decisions(sessions.size());
+  const auto tick = [&](const monitor::Observation& obs) {
+    pool.parallel_for(sessions.size(), [&](std::size_t i) {
+      decisions[i] = sessions[i]->observe(obs);
+    });
+  };
+  for (std::size_t warm = 0; warm < monitor::kLstmWindow; ++warm) {
+    tick(variants[0]);
+  }
+  std::vector<double> tick_us;
+  std::size_t variant = 0;
+  const auto start = clock::now();
+  for (;;) {
+    const auto t0 = clock::now();
+    tick(variants[variant]);
+    const auto t1 = clock::now();
+    tick_us.push_back(
+        std::chrono::duration<double, std::micro>(t1 - t0).count());
+    variant = (variant + 1) % variants.size();
+    if (std::chrono::duration<double, std::milli>(t1 - start).count() >=
+        budget_ms) {
+      break;
+    }
+  }
+  serve::LatencySummary summary;
+  summary.ticks = tick_us.size();
+  summary.cycles = summary.ticks * sessions.size();
+  for (const double us : tick_us) summary.seconds += us * 1e-6;
+  summary.p50_us = percentile(tick_us, 50.0);
+  summary.p95_us = percentile(tick_us, 95.0);
+  summary.p99_us = percentile(tick_us, 99.0);
+  summary.max_us = *std::max_element(tick_us.begin(), tick_us.end());
+  return summary;
+}
+
+/// Interleaved best-of A/B: `rounds` rounds, each measuring arm `a` and arm
+/// `b` for budget_ms / rounds, alternating which arm goes first so a
+/// periodic external load cannot land on the same arm's window every
+/// round. best[0] / best[1] keep each arm's best window, accumulating
+/// across calls. Interruption noise on a shared host is one-sided (a
+/// preempted window only reads slower, never faster), so the best window
+/// converges to the uncontended rate where single windows swing several
+/// percent.
+template <typename ArmA, typename ArmB>
+void best_of_rounds(ArmA&& a, ArmB&& b, double budget_ms, int rounds,
+                    std::array<serve::LatencySummary, 2>& best) {
+  for (int round = 0; round < rounds; ++round) {
+    for (const int arm : {round % 2, 1 - round % 2}) {
+      const serve::LatencySummary m =
+          arm == 0 ? a(budget_ms / rounds) : b(budget_ms / rounds);
+      if (m.cycles_per_sec() > best[arm].cycles_per_sec()) best[arm] = m;
+    }
+  }
 }
 
 }  // namespace
@@ -239,44 +312,67 @@ int main(int argc, char** argv) try {
 
   TextTable table({"monitor", "backend", "sessions", "cycles", "cycles/sec",
                    "p50us", "p95us", "p99us", "maxus"});
-  // cycles/s per (monitor, backend, sessions) for the A/B verdict and the
-  // CI regression smoke.
+  // cycles/s per (monitor, arm, sessions) for the A/B verdict and the CI
+  // regression smoke.
   std::map<std::string, std::map<std::string, std::map<int, double>>> rate;
+  const auto record_cell = [&](const std::string& kind, const std::string& arm,
+                               int n, double rss_before_mb,
+                               const serve::LatencySummary& m) {
+    table.add_row({kind, arm, std::to_string(n), std::to_string(m.cycles),
+                   TextTable::num(m.cycles_per_sec(), 0),
+                   TextTable::num(m.p50_us, 1), TextTable::num(m.p95_us, 1),
+                   TextTable::num(m.p99_us, 1), TextTable::num(m.max_us, 1)});
+    recorder.stage_done(kind + "/" + arm + "/" + std::to_string(n), m.seconds,
+                        m.cycles, rss_before_mb,
+                        {{"sessions", static_cast<double>(n)},
+                         {"p50_us", m.p50_us},
+                         {"p95_us", m.p95_us},
+                         {"p99_us", m.p99_us},
+                         {"max_us", m.max_us}});
+    rate[kind][arm][n] = m.cycles_per_sec();
+  };
+  const auto open_engine = [&](const serve::EngineConfig& config,
+                               const std::string& kind,
+                               const std::string& prefix, int n) {
+    EngineCell cell{std::make_unique<serve::MonitorEngine>(config), {}};
+    cell.engine->register_bundle(bundle);
+    cell.batch.reserve(static_cast<std::size_t>(n));
+    for (int s = 0; s < n; ++s) {
+      const auto id = cell.engine->open_session(
+          prefix + "/patient-" + std::to_string(s), kind, s % cohort);
+      cell.batch.push_back({id, variants[0]});
+    }
+    return cell;
+  };
+  const auto measure_engine = [&](const serve::EngineConfig& config,
+                                  const std::string& kind,
+                                  const std::string& prefix, int n) {
+    EngineCell cell = open_engine(config, kind, prefix, n);
+    return measure(cell, variants, budget_ms);
+  };
 
+  // The two arms of each (kind, sessions) cell live side by side and run
+  // in interleaved best-of rounds, so host noise cannot decide the
+  // sharded/scalar ratio by landing on one arm's only window.
+  constexpr int kArmRounds = 4;
+  ThreadPool scalar_pool(threads);
   for (const auto& name : monitors) {
-    for (const serve::ServeBackend backend :
-         {serve::ServeBackend::kScalar, serve::ServeBackend::kSharded}) {
-      for (const int n : session_counts) {
-        const double rss_before_mb = bench::peak_rss_mb();
-        serve::MonitorEngine engine(
-            {.threads = threads, .backend = backend});
-        engine.register_bundle(bundle);
-        std::vector<serve::SessionInput> batch;
-        batch.reserve(static_cast<std::size_t>(n));
-        for (int s = 0; s < n; ++s) {
-          const auto id = engine.open_session(
-              name + "/patient-" + std::to_string(s), name, s % cohort);
-          batch.push_back({id, variants[0]});
-        }
-        const serve::LatencySummary m =
-            measure(engine, batch, variants, budget_ms);
-        table.add_row({name, backend_name(backend), std::to_string(n),
-                       std::to_string(m.cycles),
-                       TextTable::num(m.cycles_per_sec(), 0),
-                       TextTable::num(m.p50_us, 1),
-                       TextTable::num(m.p95_us, 1),
-                       TextTable::num(m.p99_us, 1),
-                       TextTable::num(m.max_us, 1)});
-        recorder.stage_done(
-            name + "/" + backend_name(backend) + "/" + std::to_string(n),
-            m.seconds, m.cycles, rss_before_mb,
-            {{"sessions", static_cast<double>(n)},
-             {"p50_us", m.p50_us},
-             {"p95_us", m.p95_us},
-             {"p99_us", m.p99_us},
-             {"max_us", m.max_us}});
-        rate[name][backend_name(backend)][n] = m.cycles_per_sec();
-      }
+    const sim::MonitorFactory factory = core::factory_from_bundle(bundle, name);
+    for (const int n : session_counts) {
+      const double rss_before_mb = bench::peak_rss_mb();
+      std::vector<std::unique_ptr<monitor::Monitor>> sessions;
+      sessions.reserve(static_cast<std::size_t>(n));
+      for (int s = 0; s < n; ++s) sessions.push_back(factory(s % cohort));
+      EngineCell sharded = open_engine({.threads = threads}, name, name, n);
+      std::array<serve::LatencySummary, 2> best{};
+      best_of_rounds(
+          [&](double ms) {
+            return measure_scalar(scalar_pool, sessions, variants, ms);
+          },
+          [&](double ms) { return measure(sharded, variants, ms); },
+          budget_ms, kArmRounds, best);
+      record_cell(name, "scalar", n, rss_before_mb, best[0]);
+      record_cell(name, "sharded", n, rss_before_mb, best[1]);
     }
   }
   // Float32 serving lanes (precision = kF32 on the sharded backend) for
@@ -288,34 +384,10 @@ int main(int argc, char** argv) try {
   for (const auto& name : f32_monitors) {
     for (const int n : session_counts) {
       const double rss_before_mb = bench::peak_rss_mb();
-      serve::MonitorEngine engine({.threads = threads,
-                                   .backend = serve::ServeBackend::kSharded,
-                                   .precision = monitor::Precision::kF32});
-      engine.register_bundle(bundle);
-      std::vector<serve::SessionInput> batch;
-      batch.reserve(static_cast<std::size_t>(n));
-      for (int s = 0; s < n; ++s) {
-        const auto id = engine.open_session(
-            name + "-f32/patient-" + std::to_string(s), name, s % cohort);
-        batch.push_back({id, variants[0]});
-      }
-      const serve::LatencySummary m =
-          measure(engine, batch, variants, budget_ms);
-      table.add_row({name + "-f32", "sharded", std::to_string(n),
-                     std::to_string(m.cycles),
-                     TextTable::num(m.cycles_per_sec(), 0),
-                     TextTable::num(m.p50_us, 1),
-                     TextTable::num(m.p95_us, 1),
-                     TextTable::num(m.p99_us, 1),
-                     TextTable::num(m.max_us, 1)});
-      recorder.stage_done(name + "-f32/sharded/" + std::to_string(n),
-                          m.seconds, m.cycles, rss_before_mb,
-                          {{"sessions", static_cast<double>(n)},
-                           {"p50_us", m.p50_us},
-                           {"p95_us", m.p95_us},
-                           {"p99_us", m.p99_us},
-                           {"max_us", m.max_us}});
-      rate[name + "-f32"]["sharded"][n] = m.cycles_per_sec();
+      record_cell(name + "-f32", "sharded", n, rss_before_mb,
+                  measure_engine({.threads = threads,
+                                  .precision = monitor::Precision::kF32},
+                                 name, name + "-f32", n));
     }
   }
   table.print(std::cout);
@@ -327,53 +399,23 @@ int main(int argc, char** argv) try {
   // recorded in the JSON for the EXPERIMENTS.md trail, target < 2%.
   {
     const std::string kind = "guideline";
-    double cps[2] = {0.0, 0.0};
-    double wall[2] = {0.0, 0.0};
-    std::uint64_t cycles[2] = {0, 0};
     const double rss_before_mb = bench::peak_rss_mb();
-    // Both engines live side by side and are measured in alternating
-    // rounds, best-of per arm: a single window per arm is at the mercy of
+    // Both engines live side by side and are measured in interleaved
+    // best-of rounds: a single window per arm is at the mercy of
     // scheduler/turbo jitter on shared runners (observed swings of +-7%,
     // larger than the 2% budget the gate enforces).
-    serve::MonitorEngine engines[2] = {
-        serve::MonitorEngine({.threads = threads,
-                              .backend = serve::ServeBackend::kSharded,
-                              .telemetry = true}),
-        serve::MonitorEngine({.threads = threads,
-                              .backend = serve::ServeBackend::kSharded,
-                              .telemetry = false})};
-    std::vector<serve::SessionInput> batches[2];
-    for (const int arm : {0, 1}) {
-      engines[arm].register_bundle(bundle);
-      batches[arm].reserve(static_cast<std::size_t>(top_sessions));
-      for (int s = 0; s < top_sessions; ++s) {
-        const auto id = engines[arm].open_session(
-            "ab" + std::to_string(arm) + "/patient-" + std::to_string(s),
-            kind, s % cohort);
-        batches[arm].push_back({id, variants[0]});
-      }
-    }
-    // Interruption noise on a shared host is one-sided (a preempted window
-    // only reads slower, never faster), so the best window per arm across
-    // alternating rounds is the estimator that converges to the
-    // uncontended rate; single-window A/B readings here swing several
-    // percent against a <2% budget.
-    const int kRounds = 8;
+    EngineCell on = open_engine({.threads = threads, .telemetry = true}, kind,
+                                "ab0", top_sessions);
+    EngineCell off = open_engine({.threads = threads, .telemetry = false},
+                                 kind, "ab1", top_sessions);
+    std::array<serve::LatencySummary, 2> best{};
     const auto run_rounds = [&]() {
-      for (int round = 0; round < kRounds; ++round) {
-        // Alternate which arm measures first so a periodic external load
-        // cannot land on the same arm's window every round.
-        for (const int arm : {round % 2, 1 - round % 2}) {
-          const serve::LatencySummary m = measure(
-              engines[arm], batches[arm], variants, budget_ms / kRounds);
-          if (m.cycles_per_sec() > cps[arm]) {
-            cps[arm] = m.cycles_per_sec();
-            wall[arm] = m.seconds;
-            cycles[arm] = m.cycles;
-          }
-        }
-      }
-      return cps[1] > 0.0 ? 100.0 * (1.0 - cps[0] / cps[1]) : 0.0;
+      best_of_rounds([&](double ms) { return measure(on, variants, ms); },
+                     [&](double ms) { return measure(off, variants, ms); },
+                     budget_ms, 8, best);
+      const double cps_off = best[1].cycles_per_sec();
+      return cps_off > 0.0 ? 100.0 * (1.0 - best[0].cycles_per_sec() / cps_off)
+                           : 0.0;
     };
     double overhead_pct = run_rounds();
     // Adaptive retry: best-of accumulates monotonically, so extra rounds
@@ -387,12 +429,13 @@ int main(int argc, char** argv) try {
     std::printf(
         "\ntelemetry overhead (%s, %d sessions, sharded): on %.0f vs off "
         "%.0f cycles/s -> %.2f%%\n",
-        kind.c_str(), top_sessions, cps[0], cps[1], overhead_pct);
+        kind.c_str(), top_sessions, best[0].cycles_per_sec(),
+        best[1].cycles_per_sec(), overhead_pct);
     recorder.stage_done("telemetry_overhead/" + kind + "/" +
                             std::to_string(top_sessions),
-                        wall[0], cycles[0], rss_before_mb,
-                        {{"cycles_per_sec_on", cps[0]},
-                         {"cycles_per_sec_off", cps[1]},
+                        best[0].seconds, best[0].cycles, rss_before_mb,
+                        {{"cycles_per_sec_on", best[0].cycles_per_sec()},
+                         {"cycles_per_sec_off", best[1].cycles_per_sec()},
                          {"overhead_pct", overhead_pct}});
   }
 
@@ -408,19 +451,8 @@ int main(int argc, char** argv) try {
     const int n_ab = 64;
     const auto run_cell = [&](monitor::Precision precision,
                               const char* tag) {
-      serve::MonitorEngine engine({.threads = threads,
-                                   .backend = serve::ServeBackend::kSharded,
-                                   .precision = precision});
-      engine.register_bundle(bundle);
-      std::vector<serve::SessionInput> batch;
-      batch.reserve(static_cast<std::size_t>(n_ab));
-      for (int s = 0; s < n_ab; ++s) {
-        const auto id = engine.open_session(
-            std::string("kab-") + tag + "/patient-" + std::to_string(s),
-            "lstm", s % cohort);
-        batch.push_back({id, variants[0]});
-      }
-      return measure(engine, batch, variants, budget_ms);
+      return measure_engine({.threads = threads, .precision = precision},
+                            "lstm", std::string("kab-") + tag, n_ab);
     };
     const double rss_before_mb = bench::peak_rss_mb();
     const auto dispatch = ml::kernels::active_backend();

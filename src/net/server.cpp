@@ -25,81 +25,6 @@ namespace aps::net {
 
 namespace {
 
-/// ServingBackend over one engine (the original single-replica door).
-class EngineBackend final : public ServingBackend {
- public:
-  explicit EngineBackend(aps::serve::MonitorEngine& engine)
-      : engine_(engine) {}
-  aps::serve::SessionId open_session(const std::string& patient_id,
-                                     const std::string& monitor,
-                                     int patient_index) override {
-    return engine_.open_session(patient_id, monitor, patient_index);
-  }
-  void close_session(aps::serve::SessionId id) override {
-    engine_.close_session(id);
-  }
-  void feed(std::span<const aps::serve::SessionInput> inputs,
-            std::span<aps::monitor::Decision> decisions) override {
-    engine_.feed(inputs, decisions);
-  }
-  [[nodiscard]] aps::serve::SessionStats stats(
-      aps::serve::SessionId id) const override {
-    return engine_.stats(id);
-  }
-  [[nodiscard]] std::uint64_t generation() const override {
-    return engine_.generation();
-  }
-  [[nodiscard]] aps::obs::Registry& registry() const override {
-    return engine_.registry();
-  }
-
- private:
-  aps::serve::MonitorEngine& engine_;
-};
-
-/// ServingBackend over a replica group: session ids carry the owning
-/// replica, so open/close/stats route in O(1) and feed fans out through
-/// the group's bounded per-replica ingest queues.
-class GroupBackend final : public ServingBackend {
- public:
-  explicit GroupBackend(aps::serve::EngineGroup& group) : group_(group) {}
-  aps::serve::SessionId open_session(const std::string& patient_id,
-                                     const std::string& monitor,
-                                     int patient_index) override {
-    return group_.open_session(patient_id, monitor, patient_index);
-  }
-  void close_session(aps::serve::SessionId id) override {
-    group_.close_session(id);
-  }
-  void feed(std::span<const aps::serve::SessionInput> inputs,
-            std::span<aps::monitor::Decision> decisions) override {
-    group_.feed(inputs, decisions);
-  }
-  void feed(std::span<const aps::serve::SessionInput> inputs,
-            std::span<aps::monitor::Decision> decisions,
-            std::span<aps::serve::TickOutcome> outcomes) override {
-    group_.feed(inputs, decisions, outcomes);
-  }
-  [[nodiscard]] std::uint32_t admission_retry_ms() const override {
-    return group_.admission().enabled()
-               ? group_.admission().config().retry_after_ms
-               : 0;
-  }
-  [[nodiscard]] aps::serve::SessionStats stats(
-      aps::serve::SessionId id) const override {
-    return group_.stats(id);
-  }
-  [[nodiscard]] std::uint64_t generation() const override {
-    return group_.generation();
-  }
-  [[nodiscard]] aps::obs::Registry& registry() const override {
-    return group_.registry();
-  }
-
- private:
-  aps::serve::EngineGroup& group_;
-};
-
 /// A connection writing slower than this backlog is dead weight; drop it
 /// rather than buffer without bound.
 constexpr std::size_t kMaxOutbufBytes = 16u << 20;  // 16 MiB
@@ -132,7 +57,7 @@ struct IngestServer::Impl {
     std::vector<std::uint8_t> outbuf;
     std::size_t out_pos = 0;
     std::deque<PendingEvent> events;
-    /// Client token -> live engine session.
+    /// Client token -> live group session.
     std::unordered_map<std::uint64_t, aps::serve::SessionId> sessions;
     /// Admission tenant from the hello's client name (labels only; the
     /// quota tenant is the patient-id prefix, resolved per session).
@@ -142,8 +67,7 @@ struct IngestServer::Impl {
     bool want_write = false;  ///< EPOLLOUT armed for a partial outbuf
   };
 
-  std::unique_ptr<ServingBackend> backend;
-  ServingBackend& engine;  ///< *backend (engine or replica group)
+  aps::serve::EngineGroup& group;
   ServerConfig config;
   aps::obs::Registry& registry;
 
@@ -178,12 +102,11 @@ struct IngestServer::Impl {
   aps::obs::Histogram* h_frame_in = nullptr;
   aps::obs::Histogram* h_frame_out = nullptr;
 
-  Impl(std::unique_ptr<ServingBackend> serving, ServerConfig cfg)
-      : backend(std::move(serving)),
-        engine(*backend),
+  Impl(aps::serve::EngineGroup& serving, ServerConfig cfg)
+      : group(serving),
         config(std::move(cfg)),
         registry(config.registry != nullptr ? *config.registry
-                                            : engine.registry()) {
+                                            : group.registry()) {
     resolve_metrics();
     if (!config.listfile.empty()) {
       listfile = std::make_unique<ListfileWriter>(config.listfile);
@@ -515,7 +438,7 @@ struct IngestServer::Impl {
       conn.hello_done = true;
       return send_frame(
           conn, encode(HelloAckMsg{.protocol_version = kNetVersion,
-                                   .generation = engine.generation(),
+                                   .generation = group.generation(),
                                    .server_name = config.server_name}));
     }
 
@@ -527,7 +450,7 @@ struct IngestServer::Impl {
           ack.error = "token already open";
         } else {
           try {
-            const aps::serve::SessionId sid = engine.open_session(
+            const aps::serve::SessionId sid = group.open_session(
                 msg.patient_id, msg.monitor, msg.patient_index);
             conn.sessions.emplace(msg.token, sid);
             if (listfile) {
@@ -592,7 +515,7 @@ struct IngestServer::Impl {
     update_interest(conn);
   }
 
-  // ---- Tick: drain queues through the engine -------------------------------
+  // ---- Tick: drain queues through the group --------------------------------
 
   struct BatchSlot {
     int fd = -1;
@@ -651,7 +574,7 @@ struct IngestServer::Impl {
     if (!inputs.empty()) {
       std::vector<aps::monitor::Decision> decisions(inputs.size());
       std::vector<aps::serve::TickOutcome> outcomes(inputs.size());
-      engine.feed(inputs, decisions, outcomes);
+      group.feed(inputs, decisions, outcomes);
       c_batches->add(1);
       h_batch->observe(static_cast<double>(inputs.size()));
       std::uint64_t served = 0;
@@ -668,7 +591,10 @@ struct IngestServer::Impl {
                   .token = slot.token,
                   .seq = slot.seq,
                   .reason = static_cast<std::uint8_t>(outcomes[i].reason),
-                  .retry_after_ms = engine.admission_retry_ms(),
+                  .retry_after_ms =
+                      group.admission().enabled()
+                          ? group.admission().config().retry_after_ms
+                          : 0,
                   .message = "tick shed: tenant over quota"}));
           continue;
         }
@@ -694,8 +620,8 @@ struct IngestServer::Impl {
     }
 
     for (const auto& close : closes) {
-      const aps::serve::SessionStats st = engine.stats(close.session);
-      engine.close_session(close.session);
+      const aps::serve::SessionStats st = group.stats(close.session);
+      group.close_session(close.session);
       if (listfile) listfile->record_close({.key = close.session});
       auto cit = connections.find(close.fd);
       if (cit == connections.end()) continue;  // client left mid-tick
@@ -811,7 +737,7 @@ struct IngestServer::Impl {
       c_drop_disconnect->add(conn.events.size());
     }
     for (const auto& [token, sid] : conn.sessions) {
-      engine.close_session(sid);
+      group.close_session(sid);
       if (listfile) listfile->record_close({.key = sid});
     }
     if (epoll_fd >= 0) {
@@ -825,14 +751,8 @@ struct IngestServer::Impl {
   }
 };
 
-IngestServer::IngestServer(aps::serve::MonitorEngine& engine,
-                           ServerConfig config)
-    : impl_(std::make_unique<Impl>(std::make_unique<EngineBackend>(engine),
-                                   std::move(config))) {}
-
 IngestServer::IngestServer(aps::serve::EngineGroup& group, ServerConfig config)
-    : impl_(std::make_unique<Impl>(std::make_unique<GroupBackend>(group),
-                                   std::move(config))) {}
+    : impl_(std::make_unique<Impl>(group, std::move(config))) {}
 
 IngestServer::~IngestServer() {
   if (impl_) impl_->shutdown();

@@ -1,13 +1,16 @@
 // Epoll-based TCP ingest front door: multiplexes thousands of client
-// connections into one MonitorEngine's batched tick cadence (mvme
-// data-server turned inside out — clients push observations in, decisions
-// fan back out). Single dedicated IO thread owns every socket:
+// connections into the batched tick cadence of one serve::EngineGroup — the
+// one serving entry point, whose MonitorEngine replicas are the serving
+// cores (mvme data-server turned inside out — clients push observations
+// in, decisions fan back out). Session ids carry their owning replica, so
+// every frame routes to that replica without the door knowing the ring
+// exists. Single dedicated IO thread owns every socket:
 //
 //   accept -> handshake (kHello) -> kOpenSession -> kTick stream
 //
 // Ticks are NOT fed one-by-one: each connection parks decoded ticks in a
 // bounded per-connection event queue, and every tick_interval the IO
-// thread drains ALL queues into one engine.feed() batch, then writes each
+// thread drains ALL queues into one group.feed() batch, then writes each
 // decision frame back to its connection. A connection whose queue fills
 // stops being read (its EPOLLIN is dropped) until the next tick drains it
 // — backpressure lands on the client's TCP window instead of server
@@ -15,25 +18,26 @@
 // get a best-effort kError frame and the connection dropped; the server
 // never crashes on hostile bytes.
 //
-// When the backend sheds load (serve::AdmissionController behind an
-// EngineGroup), refusals are NOT errors: a shed open or dropped tick is
-// answered with a typed kReject frame carrying the reason and a
-// retry_after_ms backoff hint, and the connection stays up. Shed ticks
-// are excluded from the listfile (only served ticks and their decisions
-// are recorded, adjacently), so replay stays bit-identical.
+// When the group sheds load (its serve::AdmissionController), refusals
+// are NOT errors: a shed open or dropped tick is answered with a typed
+// kReject frame carrying the reason and a retry_after_ms backoff hint
+// (the group's AdmissionConfig::retry_after_ms), and the connection stays
+// up. Shed ticks are excluded from the listfile (only served ticks and
+// their decisions are recorded, adjacently), so replay stays
+// bit-identical.
 //
 // With ServerConfig::listfile set, every open/tick/decision/close is also
 // appended to a session listfile (net/listfile.h) in engine-consumption
 // order, so the whole serving run can be replayed bit-identically.
 //
-// Counters/gauges/histograms go through the engine's obs::Registry:
+// Counters/gauges/histograms go through the group's obs::Registry:
 //   net_connections{state="open"}            gauge
 //   net_connections_total{state=...}         accepted|closed|rejected
 //   net_bytes_in_total / net_bytes_out_total
 //   net_frames_total{dir,kind}               per-direction, per-frame-kind
 //   net_frames_dropped_total{reason}         queue_full|disconnect|closed
 //   net_protocol_errors_total
-//   net_ticks_total                          engine batches fed
+//   net_ticks_total                          observations served
 //   net_backpressure_pauses_total
 #pragma once
 
@@ -44,12 +48,7 @@
 #include <thread>
 
 #include "obs/metrics.h"
-#include "serve/admission.h"
-#include "serve/engine.h"
-
-namespace aps::serve {
-class EngineGroup;
-}  // namespace aps::serve
+#include "serve/group.h"
 
 namespace aps::net {
 
@@ -66,11 +65,11 @@ struct ServerConfig {
   /// IO-thread batching cadence. 0 = feed as soon as any events are
   /// queued (lowest latency; right for tests and benches).
   std::uint32_t tick_interval_ms = 0;
-  /// Ceiling on one engine.feed() batch; longer queues span ticks.
+  /// Ceiling on one group.feed() batch; longer queues span ticks.
   std::size_t max_batch = 8192;
   /// When non-empty, record every session stream to this listfile.
   std::string listfile;
-  /// Metrics sink; nullptr = the engine's registry.
+  /// Metrics sink; nullptr = the group's registry.
   aps::obs::Registry* registry = nullptr;
   std::string server_name = "aps-ingest";
 };
@@ -83,51 +82,19 @@ struct ServerStats {
   std::uint64_t rejected = 0;
   std::uint64_t protocol_errors = 0;
   std::uint64_t frames_dropped = 0;
-  std::uint64_t ticks_fed = 0;      ///< observations through the engine
-  std::uint64_t batches = 0;        ///< engine.feed() calls
+  std::uint64_t ticks_fed = 0;      ///< observations through the group
+  std::uint64_t batches = 0;        ///< group.feed() calls
   std::uint64_t backpressure_pauses = 0;
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
 };
 
-/// Serving plane the front door feeds into. The two adapters (single
-/// MonitorEngine, replica-sharded EngineGroup) let the IO loop stay
-/// agnostic: with a group, every frame is routed to the session's owning
-/// replica by the id's replica bits — the TCP door scales past one engine
-/// without knowing the ring exists.
-class ServingBackend {
- public:
-  virtual ~ServingBackend() = default;
-  virtual aps::serve::SessionId open_session(const std::string& patient_id,
-                                             const std::string& monitor,
-                                             int patient_index) = 0;
-  virtual void close_session(aps::serve::SessionId id) = 0;
-  virtual void feed(std::span<const aps::serve::SessionInput> inputs,
-                    std::span<aps::monitor::Decision> decisions) = 0;
-  /// Admission-aware feed: outcomes[i] reports whether inputs[i] was
-  /// served or shed. Backends without admission serve everything (this
-  /// default); the group backend forwards to EngineGroup's 3-arg feed.
-  virtual void feed(std::span<const aps::serve::SessionInput> inputs,
-                    std::span<aps::monitor::Decision> decisions,
-                    std::span<aps::serve::TickOutcome> outcomes) {
-    for (auto& outcome : outcomes) outcome = {};
-    feed(inputs, decisions);
-  }
-  /// Backoff hint (ms) for reject frames; 0 = backend never sheds.
-  [[nodiscard]] virtual std::uint32_t admission_retry_ms() const { return 0; }
-  [[nodiscard]] virtual aps::serve::SessionStats stats(
-      aps::serve::SessionId id) const = 0;
-  [[nodiscard]] virtual std::uint64_t generation() const = 0;
-  [[nodiscard]] virtual aps::obs::Registry& registry() const = 0;
-};
-
 class IngestServer {
  public:
   /// Binds and listens immediately (throws IoError on failure) but does
-  /// not serve until start().
-  IngestServer(aps::serve::MonitorEngine& engine, ServerConfig config);
-  /// Replica-sharded flavor: ticks fan out to the owning replicas through
-  /// the group's bounded ingest queues; everything else is identical.
+  /// not serve until start(). Ticks fan out to the owning replicas through
+  /// the group's bounded ingest queues; a one-replica group is the
+  /// single-engine door.
   IngestServer(aps::serve::EngineGroup& group, ServerConfig config);
   ~IngestServer();
 

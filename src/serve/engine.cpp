@@ -193,55 +193,53 @@ SessionId MonitorEngine::place_session(Session session,
   const SessionId id = free_ids_.empty()
                            ? static_cast<SessionId>(sessions_.size())
                            : free_ids_.back();
-  if (config_.backend == ServeBackend::kSharded) {
-    // First shard of this (name, generation) whose batch accepts the
-    // prototype; a rejected prototype (same name, different model
-    // instance — e.g. a snapshot restored across a reload) gets a sibling
-    // shard so it still batches with its own kind.
-    for (const auto& shard : shards_) {
-      if (shard->monitor_name() != session.monitor_name ||
-          shard->version() != version) {
+  // First shard of this (name, generation) whose batch accepts the
+  // prototype; a rejected prototype (same name, different model
+  // instance — e.g. a snapshot restored across a reload) gets a sibling
+  // shard so it still batches with its own kind.
+  for (const auto& shard : shards_) {
+    if (shard->monitor_name() != session.monitor_name ||
+        shard->version() != version) {
+      continue;
+    }
+    if (const auto added = shard->try_add_lane(*prototype, id)) {
+      session.shard = shard.get();
+      session.lane = *added;
+      break;
+    }
+  }
+  if (session.shard == nullptr) {
+    auto fresh = std::make_unique<ServeShard>(session.monitor_name,
+                                              version, next_shard_ordinal_);
+    // Degrade twin: if the map covers this monitor AND the degrade-to
+    // monitor exists at the SAME generation (one register_bundle call
+    // registers both), the shard carries a twin batch so kDegraded
+    // ticks can answer from the cheap kind. A missing or stale-
+    // generation target simply leaves the shard non-degradable.
+    for (const auto& [from, to] : config_.degrade) {
+      if (from != session.monitor_name || to == from) continue;
+      const auto to_it = monitors_.find(to);
+      if (to_it == monitors_.end() || to_it->second.version != version) {
         continue;
       }
-      if (const auto added = shard->try_add_lane(*prototype, id)) {
-        session.shard = shard.get();
-        session.lane = *added;
-        break;
-      }
+      fresh->set_degrade_twin(to_it->second.factory(session.patient_index));
+      break;
     }
-    if (session.shard == nullptr) {
-      auto fresh = std::make_unique<ServeShard>(session.monitor_name,
-                                                version, next_shard_ordinal_);
-      // Degrade twin: if the map covers this monitor AND the degrade-to
-      // monitor exists at the SAME generation (one register_bundle call
-      // registers both), the shard carries a twin batch so kDegraded
-      // ticks can answer from the cheap kind. A missing or stale-
-      // generation target simply leaves the shard non-degradable.
-      for (const auto& [from, to] : config_.degrade) {
-        if (from != session.monitor_name || to == from) continue;
-        const auto to_it = monitors_.find(to);
-        if (to_it == monitors_.end() || to_it->second.version != version) {
-          continue;
-        }
-        fresh->set_degrade_twin(to_it->second.factory(session.patient_index));
-        break;
-      }
-      fresh->set_precision(config_.precision);
-      const auto added = fresh->try_add_lane(*prototype, id);
-      if (!added) {
-        // A batch must accept its own prototype (shard.h invariant); a
-        // Monitor whose make_batch() violates it is a programming error —
-        // fail loudly instead of dereferencing an empty optional.
-        throw std::logic_error("monitor '" + session.monitor_name +
-                               "' produced a batch that rejects its own "
-                               "prototype");
-      }
-      ++next_shard_ordinal_;
-      init_shard_telemetry(*fresh, entry);
-      session.shard = fresh.get();
-      session.lane = *added;
-      shards_.push_back(std::move(fresh));
+    fresh->set_precision(config_.precision);
+    const auto added = fresh->try_add_lane(*prototype, id);
+    if (!added) {
+      // A batch must accept its own prototype (shard.h invariant); a
+      // Monitor whose make_batch() violates it is a programming error —
+      // fail loudly instead of dereferencing an empty optional.
+      throw std::logic_error("monitor '" + session.monitor_name +
+                             "' produced a batch that rejects its own "
+                             "prototype");
     }
+    ++next_shard_ordinal_;
+    init_shard_telemetry(*fresh, entry);
+    session.shard = fresh.get();
+    session.lane = *added;
+    shards_.push_back(std::move(fresh));
   }
   if (!free_ids_.empty()) {
     free_ids_.pop_back();
@@ -274,13 +272,8 @@ SessionId MonitorEngine::open_session(const std::string& patient_id,
   session.monitor_name = monitor_name;
   session.patient_index = patient_index;
   session.open = true;
-  const aps::monitor::Monitor* prototype = monitor.get();
-  if (config_.backend == ServeBackend::kScalar) {
-    session.monitor = std::move(monitor);
-    prototype = session.monitor.get();
-  }
   metrics_.sessions_opened->add(1);
-  return place_session(std::move(session), prototype, entry);
+  return place_session(std::move(session), monitor.get(), entry);
 }
 
 MonitorEngine::Session& MonitorEngine::checked_session(SessionId id) {
@@ -302,20 +295,18 @@ void MonitorEngine::close_session(SessionId id) {
   const std::lock_guard<std::mutex> lock(mu_);
   Session& session = checked_session(id);
   by_patient_.erase(session.patient_id);
-  if (session.shard != nullptr) {
-    ServeShard* shard = session.shard;
-    // Swap-with-last lane compaction: the shard tells us which session
-    // moved into the vacated lane so its index stays correct.
-    if (const auto moved = shard->remove_lane(session.lane)) {
-      sessions_[*moved].lane = session.lane;
-    }
-    if (shard->lanes() == 0) {
-      std::erase_if(shards_, [shard](const std::unique_ptr<ServeShard>& s) {
-        return s.get() == shard;
-      });
-    }
+  ServeShard* shard = session.shard;
+  // Swap-with-last lane compaction: the shard tells us which session moved
+  // into the vacated lane so its index stays correct.
+  if (const auto moved = shard->remove_lane(session.lane)) {
+    sessions_[*moved].lane = session.lane;
   }
-  session = Session{};  // releases the monitor / lane bookkeeping
+  if (shard->lanes() == 0) {
+    std::erase_if(shards_, [shard](const std::unique_ptr<ServeShard>& s) {
+      return s.get() == shard;
+    });
+  }
+  session = Session{};  // releases the lane bookkeeping
   free_ids_.push_back(id);
   --open_count_;
   metrics_.sessions_closed->add(1);
@@ -442,11 +433,7 @@ void MonitorEngine::feed_locked(std::span<const SessionId> sessions,
   for (const SessionId sid : sessions) (void)checked_session(sid);
 
   const auto t0 = std::chrono::steady_clock::now();
-  if (config_.backend == ServeBackend::kScalar) {
-    feed_scalar(sessions, obs, decisions);
-  } else {
-    feed_sharded(sessions, obs, decisions, mode);
-  }
+  feed_sharded(sessions, obs, decisions, mode);
   total_cycles_ += sessions.size();
   record_latency(
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -481,57 +468,6 @@ void MonitorEngine::accumulate_drift(
   metrics_.drift_samples->add(sampled);
 }
 
-void MonitorEngine::feed_scalar(std::span<const SessionId> sessions,
-                                std::span<const aps::monitor::Observation> obs,
-                                std::span<aps::monitor::Decision> decisions) {
-  // Partition the batch into per-session groups, preserving batch order
-  // within each session. A session appears in exactly one group, so each
-  // group is an independent serial unit of work.
-  order_.resize(sessions.size());
-  for (std::uint32_t i = 0; i < sessions.size(); ++i) order_[i] = i;
-  std::stable_sort(order_.begin(), order_.end(),
-                   [sessions](std::uint32_t a, std::uint32_t b) {
-                     return sessions[a] < sessions[b];
-                   });
-  groups_.clear();
-  for (std::uint32_t lo = 0; lo < order_.size();) {
-    std::uint32_t hi = lo + 1;
-    const SessionId session = sessions[order_[lo]];
-    while (hi < order_.size() && sessions[order_[hi]] == session) ++hi;
-    groups_.emplace_back(lo, hi);
-    lo = hi;
-  }
-
-  // Gather each group's observations into one contiguous stretch so every
-  // session gets a single observe_batch call (batched monitors amortize
-  // inference across their group).
-  sorted_obs_.resize(sessions.size());
-  sorted_decisions_.resize(sessions.size());
-  for (std::uint32_t k = 0; k < order_.size(); ++k) {
-    sorted_obs_[k] = obs[order_[k]];
-  }
-
-  pool_.parallel_for(groups_.size(), [this, sessions](std::size_t g) {
-    const auto [lo, hi] = groups_[g];
-    Session& session = sessions_[sessions[order_[lo]]];
-    const std::size_t count = hi - lo;
-    session.monitor->observe_batch(
-        std::span<const aps::monitor::Observation>(&sorted_obs_[lo], count),
-        std::span<aps::monitor::Decision>(&sorted_decisions_[lo], count));
-    session.stats.cycles += count;
-    std::uint64_t alarms = 0;
-    for (std::uint32_t k = lo; k < hi; ++k) {
-      if (sorted_decisions_[k].alarm) ++alarms;
-    }
-    session.stats.alarms += alarms;
-    if (alarms > 0) metrics_.alarms->add(alarms);
-  });
-
-  for (std::uint32_t k = 0; k < order_.size(); ++k) {
-    decisions[order_[k]] = sorted_decisions_[k];
-  }
-}
-
 void MonitorEngine::feed_sharded(std::span<const SessionId> sessions,
                                  std::span<const aps::monitor::Observation> obs,
                                  std::span<aps::monitor::Decision> decisions,
@@ -552,8 +488,8 @@ void MonitorEngine::feed_sharded(std::span<const SessionId> sessions,
 
   // Round r of a session = its r-th input in this batch; rounds execute as
   // sequential lockstep ticks so multiple inputs for one session apply in
-  // batch order, exactly like the scalar path. The per-session occurrence
-  // counters reset lazily via the feed epoch.
+  // batch order, exactly like stepping each session's monitor in turn. The
+  // per-session occurrence counters reset lazily via the feed epoch.
   bool single_round = true;
   {
     std::optional<aps::obs::Tracer::Scope> span;
@@ -773,21 +709,17 @@ aps::monitor::Decision MonitorEngine::feed_one(
   Session& session = checked_session(id);
   const auto t0 = std::chrono::steady_clock::now();
   aps::monitor::Decision decision;
-  if (session.shard != nullptr) {
-    const std::size_t lane = session.lane;
-    session.shard->observe_lanes(
-        std::span<const std::size_t>(&lane, 1),
-        std::span<const aps::monitor::Observation>(&obs, 1),
-        std::span<aps::monitor::Decision>(&decision, 1));
-  } else {
-    decision = session.monitor->observe(obs);
-  }
+  const std::size_t lane = session.lane;
+  session.shard->observe_lanes(
+      std::span<const std::size_t>(&lane, 1),
+      std::span<const aps::monitor::Observation>(&obs, 1),
+      std::span<aps::monitor::Decision>(&decision, 1));
   ++session.stats.cycles;
   if (decision.alarm) {
     ++session.stats.alarms;
     metrics_.alarms->add(1);
   }
-  if (config_.telemetry && session.shard != nullptr && drift_tick_due()) {
+  if (config_.telemetry && drift_tick_due()) {
     accumulate_drift(*session.shard,
                      std::span<const aps::monitor::Observation>(&obs, 1));
     if (session.shard->drift() != nullptr &&
@@ -807,11 +739,7 @@ void MonitorEngine::reset_session(SessionId id) {
   const std::lock_guard<std::mutex> lock(mu_);
   Session& session = checked_session(id);
   metrics_.session_resets->add(1);
-  if (session.shard != nullptr) {
-    session.shard->reset_lane(session.lane);
-  } else {
-    session.monitor->reset();
-  }
+  session.shard->reset_lane(session.lane);
 }
 
 SessionSnapshot MonitorEngine::snapshot(SessionId id) const {
@@ -822,9 +750,7 @@ SessionSnapshot MonitorEngine::snapshot(SessionId id) const {
   snap.monitor_name = session.monitor_name;
   snap.patient_index = session.patient_index;
   snap.stats = session.stats;
-  snap.monitor = session.shard != nullptr
-                     ? session.shard->extract_lane(session.lane)
-                     : session.monitor->clone();
+  snap.monitor = session.shard->extract_lane(session.lane);
   return snap;
 }
 
@@ -848,13 +774,8 @@ SessionId MonitorEngine::restore(const SessionSnapshot& snap) {
   session.patient_index = snap.patient_index;
   session.stats = snap.stats;
   session.open = true;
-  const aps::monitor::Monitor* prototype = snap.monitor.get();
-  if (config_.backend == ServeBackend::kScalar) {
-    session.monitor = snap.monitor->clone();
-    prototype = session.monitor.get();
-  }
   metrics_.sessions_restored->add(1);
-  return place_session(std::move(session), prototype, entry);
+  return place_session(std::move(session), snap.monitor.get(), entry);
 }
 
 SessionStats MonitorEngine::stats(SessionId id) const {

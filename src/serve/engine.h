@@ -1,15 +1,21 @@
 // Monitor serving engine: multiplexes thousands of independent per-patient
 // streaming sessions over the batched SoA monitor backend.
 //
+// MonitorEngine is the replica core of the serving stack: the one
+// thread-safe serving entry point is serve::EngineGroup (group.h), which
+// owns N engines and is what net::IngestServer drives; an engine serves
+// the sessions hashed to its replica.
+//
 // Sessions are sharded by (monitor name, model generation): every session
 // of a shard is one contiguous lane behind a single monitor::MonitorBatch,
 // so a control tick costs one DecisionTree/Mlp/Lstm::predict_batch call
-// per shard instead of one model call per session (ServeBackend::kSharded,
-// the default). The pre-shard per-session path is retained as
-// ServeBackend::kScalar — the conformance suite pins the sharded path
-// bit-identical to it. Large ticks additionally split each shard's lanes
-// into chunks that run across the worker pool; every batch implementation
-// is lane-independent, so output never depends on chunking or threads.
+// per shard instead of one model call per session. The one reference
+// oracle is a scalar monitor::Monitor per session, built by the same
+// factory (core::factory_from_bundle) and stepped directly — the
+// conformance suites pin every served decision bit-identical to it. Large
+// ticks additionally split each shard's lanes into chunks that run across
+// the worker pool; every batch implementation is lane-independent, so
+// output never depends on chunking or threads.
 //
 // Model generations: register_bundle / register_monitor atomically bump a
 // generation counter. Sessions pin the factories (and the shared immutable
@@ -79,11 +85,6 @@ struct SessionSnapshot {
   std::unique_ptr<aps::monitor::Monitor> monitor;
 };
 
-enum class ServeBackend {
-  kSharded,  ///< SoA lanes, one batched model call per shard per tick
-  kScalar,   ///< one Monitor instance per session (pre-shard reference path)
-};
-
 /// How a feed tick is served. kNormal runs every session's own monitor;
 /// kDegraded is the overload escape hatch — sessions whose shard carries a
 /// degrade twin (see EngineConfig::degrade) are answered by the cheap twin
@@ -97,7 +98,6 @@ enum class FeedMode { kNormal, kDegraded };
 struct EngineConfig {
   /// Worker threads for batched feeds; 0 = hardware concurrency.
   std::size_t threads = 0;
-  ServeBackend backend = ServeBackend::kSharded;
   /// Metric registry the engine reports into; null = the process-global
   /// obs::Registry. Counters/gauges/histograms are registry-owned series,
   /// so several engines sharing one registry aggregate.
@@ -107,16 +107,15 @@ struct EngineConfig {
   /// series (tick latency, counters) into a private registry instead of
   /// the global one. The A/B overhead baseline in bench/serve_throughput.
   bool telemetry = true;
-  /// Inference precision applied to every shard this engine creates
-  /// (sharded backend). kF64 is the reference path; kF32 routes MLP/LSTM
-  /// lanes through the float32 kernels (tolerance-pinned, see
-  /// monitor::Precision). Monitors without a float32 path ignore it. The
-  /// scalar backend always serves kF64.
+  /// Inference precision applied to every shard this engine creates.
+  /// kF64 is the reference path; kF32 routes MLP/LSTM lanes through the
+  /// float32 kernels (tolerance-pinned, see monitor::Precision). Monitors
+  /// without a float32 path ignore it.
   aps::monitor::Precision precision = aps::monitor::Precision::kF64;
   /// Drift-detector tuning for shards whose generation carries
   /// training stats.
   aps::obs::DriftConfig drift = {};
-  /// Overload degrade map (sharded backend only): shards of a `first`
+  /// Overload degrade map: shards of a `first`
   /// monitor get a twin of the `second` monitor from the same bundle
   /// generation, enabling FeedMode::kDegraded ticks. The default degrades
   /// the LSTM (window-bound, transcendental-heavy) to the decision tree —
@@ -149,7 +148,7 @@ struct LatencySummary {
   /// Session-cycles answered by a degrade twin (FeedMode::kDegraded ticks
   /// on shards with a twin) — zero below deadline pressure.
   std::uint64_t degraded_ticks = 0;
-  /// Per-shard chunk latency (telemetry on, sharded backend only).
+  /// Per-shard chunk latency (telemetry on).
   std::vector<ShardLatencySummary> shards;
   [[nodiscard]] double cycles_per_sec() const {
     return seconds > 0.0 ? static_cast<double>(cycles) / seconds : 0.0;
@@ -240,7 +239,6 @@ class MonitorEngine {
   [[nodiscard]] std::size_t thread_count() const {
     return pool_.thread_count();
   }
-  [[nodiscard]] ServeBackend backend() const { return config_.backend; }
   /// Latency distribution over the feed() ticks since the last reset.
   [[nodiscard]] LatencySummary latency() const;
   void reset_latency();
@@ -256,11 +254,9 @@ class MonitorEngine {
     int patient_index = 0;
     SessionStats stats;
     bool open = false;
-    // Sharded backend: the shard lane this session occupies.
+    // The shard lane this session occupies.
     ServeShard* shard = nullptr;
     std::size_t lane = 0;
-    // Scalar backend: the session's own monitor instance.
-    std::unique_ptr<aps::monitor::Monitor> monitor;
   };
 
   struct RegisteredMonitor {
@@ -315,9 +311,6 @@ class MonitorEngine {
   void feed_locked(std::span<const SessionId> sessions,
                    std::span<const aps::monitor::Observation> obs,
                    std::span<aps::monitor::Decision> decisions, FeedMode mode);
-  void feed_scalar(std::span<const SessionId> sessions,
-                   std::span<const aps::monitor::Observation> obs,
-                   std::span<aps::monitor::Decision> decisions);
   void feed_sharded(std::span<const SessionId> sessions,
                     std::span<const aps::monitor::Observation> obs,
                     std::span<aps::monitor::Decision> decisions, FeedMode mode);

@@ -1,6 +1,10 @@
-// Replica-sharded serving: an EngineGroup partitions sessions across N
-// MonitorEngine replicas by consistent hashing on patient id, scaling the
-// serving plane past one engine = one shard table = one lock.
+// Replica-sharded serving: EngineGroup is the one serving entry point
+// (net::IngestServer drives it; a one-replica group is the single-engine
+// deployment). It partitions sessions across N MonitorEngine replica cores
+// by consistent hashing on patient id, scaling the serving plane past one
+// engine = one shard table = one lock. Its decisions are pinned
+// bit-identical to the one reference oracle — a scalar monitor::Monitor
+// per session from core::factory_from_bundle, stepped directly.
 //
 // Topology: each replica owns its own engine (shard tables, sessions,
 // latency series) and ONE dedicated worker thread that drains a bounded

@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -54,6 +55,16 @@ const std::vector<std::string>& monitor_names() {
   return names;
 }
 
+/// A one-replica group: the single-engine front door.
+serve::GroupConfig one_replica(std::size_t threads,
+                               obs::Registry* registry = nullptr) {
+  serve::GroupConfig config;
+  config.replicas = 1;
+  config.engine.threads = threads;
+  config.engine.registry = registry;
+  return config;
+}
+
 /// Spin until the server has seen every client disconnect, so the
 /// post-run counter reconciliation is exact (writers quiesced).
 void wait_for_disconnects(const net::IngestServer& server) {
@@ -69,13 +80,13 @@ void wait_for_disconnects(const net::IngestServer& server) {
 TEST(NetServer, MultiClientServingVerifiesExactlyAndReplays) {
   const auto bundle = rule_bundle();
   obs::Registry registry;  // private: reconciliation below is exact
-  serve::MonitorEngine engine({.threads = 2, .registry = &registry});
-  engine.register_bundle(bundle);
+  serve::EngineGroup group(one_replica(2, &registry));
+  group.register_bundle(bundle);
 
   net::ServerConfig config;
   config.listfile = "net_stress.listfile";  // CI uploads this artifact
   config.registry = &registry;
-  net::IngestServer server(engine, config);
+  net::IngestServer server(group, config);
   server.start();
 
   std::mutex failures_mu;
@@ -199,7 +210,7 @@ TEST(NetServer, MultiClientServingVerifiesExactlyAndReplays) {
   EXPECT_EQ(registry.counter_value("net_bytes_out_total"),
             bytes_received.load());
   // Every session was closed through the protocol, none leaked.
-  EXPECT_EQ(engine.session_count(), 0u);
+  EXPECT_EQ(group.session_count(), 0u);
   // The scrape exposes the net series alongside the serving ones.
   const std::string prom = registry.scrape_prometheus();
   for (const char* series :
@@ -271,11 +282,11 @@ class RawSocket {
 TEST(NetServer, HostileClientsAreDroppedAndServingContinues) {
   const auto bundle = rule_bundle();
   obs::Registry registry;
-  serve::MonitorEngine engine({.threads = 1, .registry = &registry});
-  engine.register_bundle(bundle);
+  serve::EngineGroup group(one_replica(1, &registry));
+  group.register_bundle(bundle);
   net::ServerConfig config;
   config.registry = &registry;
-  net::IngestServer server(engine, config);
+  net::IngestServer server(group, config);
   server.start();
 
   // 1. Pure garbage instead of a frame header.
@@ -340,19 +351,19 @@ TEST(NetServer, HostileClientsAreDroppedAndServingContinues) {
   EXPECT_EQ(ack.cycles, stream.size());
 
   EXPECT_GE(registry.counter_value("net_protocol_errors_total"), 3u);
-  EXPECT_EQ(engine.session_count(), 0u);
+  EXPECT_EQ(group.session_count(), 0u);
 }
 
 TEST(NetServer, BackpressurePausesReadsWithoutDroppingAnything) {
   const auto bundle = rule_bundle();
   obs::Registry registry;
-  serve::MonitorEngine engine({.threads = 1, .registry = &registry});
-  engine.register_bundle(bundle);
+  serve::EngineGroup group(one_replica(1, &registry));
+  group.register_bundle(bundle);
   net::ServerConfig config;
   config.registry = &registry;
   config.max_queued_events = 4;  // tiny queue: the blast below must pause
   config.tick_interval_ms = 2;
-  net::IngestServer server(engine, config);
+  net::IngestServer server(group, config);
   server.start();
 
   constexpr std::size_t kBlast = 300;
@@ -388,12 +399,12 @@ TEST(NetServer, BackpressurePausesReadsWithoutDroppingAnything) {
 TEST(NetServer, ConnectionCeilingRejectsTheOverflow) {
   const auto bundle = rule_bundle();
   obs::Registry registry;
-  serve::MonitorEngine engine({.threads = 1, .registry = &registry});
-  engine.register_bundle(bundle);
+  serve::EngineGroup group(one_replica(1, &registry));
+  group.register_bundle(bundle);
   net::ServerConfig config;
   config.registry = &registry;
   config.max_connections = 2;
-  net::IngestServer server(engine, config);
+  net::IngestServer server(group, config);
   server.start();
 
   net::BlockingClient first("127.0.0.1", server.port(), "one");
@@ -409,9 +420,9 @@ TEST(NetServer, ConnectionCeilingRejectsTheOverflow) {
 
 TEST(NetServer, OpenErrorsAreAcksNotDisconnects) {
   const auto bundle = rule_bundle();
-  serve::MonitorEngine engine({.threads = 1});
-  engine.register_bundle(bundle);
-  net::IngestServer server(engine, {});
+  serve::EngineGroup group(one_replica(1));
+  group.register_bundle(bundle);
+  net::IngestServer server(group, {});
   server.start();
 
   net::BlockingClient client("127.0.0.1", server.port(), "acks");
@@ -431,10 +442,66 @@ TEST(NetServer, OpenErrorsAreAcksNotDisconnects) {
                net::ProtocolError);
   const auto ack = client.close_session(3);
   EXPECT_EQ(ack.cycles, 0u);
-  EXPECT_EQ(engine.session_count(), 0u);
+  EXPECT_EQ(group.session_count(), 0u);
 }
 
-TEST(NetServer, GroupBackendRoutesToOwningReplicas) {
+TEST(NetServer, NoThreadStartsOrExitsWhileServing) {
+  // The whole stack's thread set — the group's replica worker and engine
+  // pool, the server's IO thread — is fixed once start() returns: no
+  // thread starts or exits while wire sessions open, tick and close
+  // (servebench's traced run reconciles per-thread /proc CPU with
+  // getrusage, which only holds over a fixed thread set).
+  const auto bundle = rule_bundle();
+  obs::Registry registry;
+  serve::EngineGroup group(one_replica(2, &registry));
+  group.register_bundle(bundle);
+  if (!testutil::live_threads()) {
+    GTEST_SKIP() << "/proc/self/task is unreadable";
+  }
+  net::ServerConfig config;
+  config.registry = &registry;
+  net::IngestServer server(group, config);
+  server.start();
+  const auto baseline = testutil::live_threads();
+  ASSERT_TRUE(baseline.has_value());
+
+  constexpr std::size_t kFeeds = 200;
+  const auto stream = testutil::synth_stream(kFeeds, 4242);
+  net::BlockingClient client("127.0.0.1", server.port(), "steady");
+  std::deque<std::uint64_t> live;  // open tokens
+  std::uint64_t next_token = 0;
+  const auto open_one = [&] {
+    const std::uint64_t token = next_token++;
+    client.open_session(token, "steady/p" + std::to_string(token),
+                        monitor_names()[token % monitor_names().size()],
+                        static_cast<int>(token % kCohort));
+    live.push_back(token);
+  };
+  for (int i = 0; i < 4; ++i) open_one();
+  for (std::size_t k = 0; k < kFeeds; ++k) {
+    if (k % 10 == 9) {  // churn interleaved with the feeds
+      (void)client.close_session(live.front());
+      live.pop_front();
+      open_one();
+    }
+    for (const std::uint64_t token : live) {
+      client.send_tick(token, k, stream[k]);
+    }
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      (void)client.recv_decision();
+    }
+    if (k % 50 == 49) {
+      (void)group.latency();
+      group.reset_latency();
+    }
+    ASSERT_EQ(testutil::live_threads(), baseline) << "feed " << k;
+  }
+  for (const std::uint64_t token : live) (void)client.close_session(token);
+  EXPECT_EQ(registry.counter_value("net_ticks_total"),
+            kFeeds * live.size());
+}
+
+TEST(NetServer, GroupRoutesToOwningReplicas) {
   // The replica-sharded flavor of the front door: sessions opened over the
   // wire land on their ring-owned replica (the id's top bits), ticks are
   // routed through the group's queues, and every decision still matches a

@@ -1,9 +1,9 @@
-// Serving golden-conformance suite: the sharded SoA serving path
-// (ServeBackend::kSharded — one batched model call per monitor shard per
-// tick) must be bit-identical to the retained per-session scalar path
-// (ServeBackend::kScalar) for every monitor kind, across session and
-// thread counts, through mid-stream session churn (lane compaction), and
-// across snapshot/restore round trips.
+// Serving golden-conformance suite: the sharded SoA serving path (one
+// batched model call per monitor shard per tick) must be bit-identical to
+// the reference oracle — scalar monitors from core::factory_from_bundle,
+// stepped directly (testutil::ScalarOracle) — for every monitor kind,
+// across session and thread counts, through mid-stream session churn (lane
+// compaction), and across snapshot/restore round trips in both directions.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -62,10 +62,9 @@ const core::ArtifactBundle& shared_bundle() {
   return *bundle;
 }
 
-std::unique_ptr<serve::MonitorEngine> make_engine(
-    serve::ServeBackend backend, std::size_t threads) {
+std::unique_ptr<serve::MonitorEngine> make_engine(std::size_t threads) {
   auto engine = std::make_unique<serve::MonitorEngine>(
-      serve::EngineConfig{.threads = threads, .backend = backend});
+      serve::EngineConfig{.threads = threads});
   engine->register_bundle(shared_bundle());
   return engine;
 }
@@ -79,42 +78,43 @@ std::vector<monitor::Observation> session_stream(std::size_t session,
 
 TEST(ServeConformance, MixedPopulationMatchesScalarPath) {
   // A mixed population — every monitor kind interleaved — fed identical
-  // per-cycle batches must produce bit-identical decisions on both
-  // backends, for session counts {1, 7, 64} and thread counts {1, 4}.
+  // per-cycle batches must produce bit-identical decisions to the oracle,
+  // for session counts {1, 7, 64} and thread counts {1, 4}.
   const std::size_t kSteps = 60;
   for (const std::size_t threads : {1u, 4u}) {
     for (const std::size_t n : {1u, 7u, 64u}) {
-      auto sharded = make_engine(serve::ServeBackend::kSharded, threads);
-      auto scalar = make_engine(serve::ServeBackend::kScalar, threads);
+      auto sharded = make_engine(threads);
+      testutil::ScalarOracle scalar(shared_bundle());
 
-      std::vector<serve::SessionId> sharded_ids, scalar_ids;
+      std::vector<serve::SessionId> sharded_ids;
+      std::vector<std::string> patients;
       std::vector<std::vector<monitor::Observation>> streams;
       for (std::size_t s = 0; s < n; ++s) {
         const std::string& kind = kKinds[s % kKinds.size()];
         const std::string patient = "p" + std::to_string(s);
         const int index = static_cast<int>(s) % kCohort;
         sharded_ids.push_back(sharded->open_session(patient, kind, index));
-        scalar_ids.push_back(scalar->open_session(patient, kind, index));
+        scalar.open(patient, kind, index);
+        patients.push_back(patient);
         streams.push_back(session_stream(s, kSteps));
       }
 
       for (std::size_t k = 0; k < kSteps; ++k) {
-        std::vector<serve::SessionInput> sharded_batch, scalar_batch;
+        std::vector<serve::SessionInput> sharded_batch;
         for (std::size_t s = 0; s < n; ++s) {
           sharded_batch.push_back({sharded_ids[s], streams[s][k]});
-          scalar_batch.push_back({scalar_ids[s], streams[s][k]});
         }
         const auto got = sharded->feed(sharded_batch);
-        const auto want = scalar->feed(scalar_batch);
         for (std::size_t s = 0; s < n; ++s) {
-          ASSERT_TRUE(testutil::decisions_equal(want[s], got[s]))
+          const auto want = scalar.feed(patients[s], streams[s][k]);
+          ASSERT_TRUE(testutil::decisions_equal(want, got[s]))
               << "sessions=" << n << " threads=" << threads << " session "
               << s << " (" << kKinds[s % kKinds.size()] << ") cycle " << k;
         }
       }
       for (std::size_t s = 0; s < n; ++s) {
         EXPECT_EQ(sharded->stats(sharded_ids[s]).alarms,
-                  scalar->stats(scalar_ids[s]).alarms)
+                  scalar.alarms(patients[s]))
             << "session " << s;
       }
     }
@@ -123,17 +123,17 @@ TEST(ServeConformance, MixedPopulationMatchesScalarPath) {
 
 TEST(ServeConformance, MidStreamOpenCloseCompactsLanesCorrectly) {
   // Sessions closed mid-stream vacate lanes (swap-with-last compaction);
-  // surviving and late-joining sessions must keep bit-identical streams on
-  // both backends through the churn.
+  // surviving and late-joining sessions must keep streams bit-identical to
+  // the oracle through the churn.
   const std::size_t kSteps = 60;
   const std::size_t kInitial = 10;
   for (const auto& kind : kKinds) {
-    auto sharded = make_engine(serve::ServeBackend::kSharded, 4);
-    auto scalar = make_engine(serve::ServeBackend::kScalar, 4);
+    auto sharded = make_engine(4);
+    testutil::ScalarOracle scalar(shared_bundle());
 
     struct Live {
       serve::SessionId sharded_id;
-      serve::SessionId scalar_id;
+      std::string patient;
       std::size_t stream;  ///< stream seed index
       std::size_t joined;  ///< step the session joined at
     };
@@ -146,8 +146,9 @@ TEST(ServeConformance, MidStreamOpenCloseCompactsLanesCorrectly) {
       const std::string patient = kind + "-p" + std::to_string(s);
       const int index = static_cast<int>(s) % kCohort;
       streams[s] = session_stream(s, kSteps);
-      live.push_back({sharded->open_session(patient, kind, index),
-                      scalar->open_session(patient, kind, index), s, step});
+      scalar.open(patient, kind, index);
+      live.push_back(
+          {sharded->open_session(patient, kind, index), patient, s, step});
     };
     for (std::size_t s = 0; s < kInitial; ++s) open_one(0);
 
@@ -157,51 +158,53 @@ TEST(ServeConformance, MidStreamOpenCloseCompactsLanesCorrectly) {
         // lane 0 and the middle (exercises swap-with-last remapping).
         for (const std::size_t victim : {7u, 4u, 0u}) {
           sharded->close_session(live[victim].sharded_id);
-          scalar->close_session(live[victim].scalar_id);
+          scalar.close(live[victim].patient);
           live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
         }
       }
       if (k == 30) {
         for (int j = 0; j < 4; ++j) open_one(k);
       }
-      std::vector<serve::SessionInput> sharded_batch, scalar_batch;
+      std::vector<serve::SessionInput> sharded_batch;
       for (const Live& session : live) {
         const auto& obs = streams[session.stream][k - session.joined];
         sharded_batch.push_back({session.sharded_id, obs});
-        scalar_batch.push_back({session.scalar_id, obs});
       }
       const auto got = sharded->feed(sharded_batch);
-      const auto want = scalar->feed(scalar_batch);
       for (std::size_t i = 0; i < live.size(); ++i) {
-        ASSERT_TRUE(testutil::decisions_equal(want[i], got[i]))
+        const auto want = scalar.feed(
+            live[i].patient, streams[live[i].stream][k - live[i].joined]);
+        ASSERT_TRUE(testutil::decisions_equal(want, got[i]))
             << kind << " cycle " << k << " session stream "
             << live[i].stream;
       }
     }
-    EXPECT_EQ(sharded->session_count(), scalar->session_count());
+    EXPECT_EQ(sharded->session_count(), scalar.size());
   }
 }
 
 TEST(ServeConformance, SnapshotRestoreRoundTripContinuesBitIdentically) {
   // Snapshot every session mid-stream from a sharded engine, restore into
   // a FRESH sharded engine, and continue: the tail must match an
-  // uninterrupted scalar engine run bit for bit (LSTM windows, guideline
-  // recovery counters survive the lane extract/adopt round trip).
+  // uninterrupted oracle run bit for bit (LSTM windows, guideline recovery
+  // counters survive the lane extract/adopt round trip).
   const std::size_t kSteps = 60;
   const std::size_t kCut = 30;
   const std::size_t kSessions = 2 * kKinds.size();
 
-  auto sharded = make_engine(serve::ServeBackend::kSharded, 4);
-  auto scalar = make_engine(serve::ServeBackend::kScalar, 1);
+  auto sharded = make_engine(4);
+  testutil::ScalarOracle scalar(shared_bundle());
 
-  std::vector<serve::SessionId> sharded_ids, scalar_ids;
+  std::vector<serve::SessionId> sharded_ids;
+  std::vector<std::string> patients;
   std::vector<std::vector<monitor::Observation>> streams;
   for (std::size_t s = 0; s < kSessions; ++s) {
     const std::string& kind = kKinds[s % kKinds.size()];
     const std::string patient = "p" + std::to_string(s);
     const int index = static_cast<int>(s) % kCohort;
     sharded_ids.push_back(sharded->open_session(patient, kind, index));
-    scalar_ids.push_back(scalar->open_session(patient, kind, index));
+    scalar.open(patient, kind, index);
+    patients.push_back(patient);
     streams.push_back(session_stream(s, kSteps));
   }
 
@@ -214,14 +217,21 @@ TEST(ServeConformance, SnapshotRestoreRoundTripContinuesBitIdentically) {
     }
     return engine.feed(batch);
   };
+  const auto feed_oracle = [&](std::size_t k) {
+    std::vector<monitor::Decision> decisions;
+    for (std::size_t s = 0; s < kSessions; ++s) {
+      decisions.push_back(scalar.feed(patients[s], streams[s][k]));
+    }
+    return decisions;
+  };
 
   for (std::size_t k = 0; k < kCut; ++k) {
     (void)feed_all(*sharded, sharded_ids, k);
-    (void)feed_all(*scalar, scalar_ids, k);
+    (void)feed_oracle(k);
   }
 
   // Round trip into a fresh sharded engine.
-  auto restored = make_engine(serve::ServeBackend::kSharded, 4);
+  auto restored = make_engine(4);
   std::vector<serve::SessionId> restored_ids;
   for (std::size_t s = 0; s < kSessions; ++s) {
     const serve::SessionSnapshot snap = sharded->snapshot(sharded_ids[s]);
@@ -231,7 +241,7 @@ TEST(ServeConformance, SnapshotRestoreRoundTripContinuesBitIdentically) {
 
   for (std::size_t k = kCut; k < kSteps; ++k) {
     const auto got = feed_all(*restored, restored_ids, k);
-    const auto want = feed_all(*scalar, scalar_ids, k);
+    const auto want = feed_oracle(k);
     for (std::size_t s = 0; s < kSessions; ++s) {
       ASSERT_TRUE(testutil::decisions_equal(want[s], got[s]))
           << "session " << s << " (" << kKinds[s % kKinds.size()]
@@ -244,28 +254,35 @@ TEST(ServeConformance, SnapshotRestoreRoundTripContinuesBitIdentically) {
 }
 
 TEST(ServeConformance, SnapshotsRestoreAcrossBackends) {
-  // A snapshot is backend-neutral: sharded -> scalar and scalar -> sharded
-  // restores both continue the stream exactly.
+  // A snapshot is oracle-neutral: engine -> oracle (the snapshot's monitor
+  // stepped directly) and oracle -> engine (a snapshot built from the
+  // oracle monitor's clone) both continue the stream exactly.
   const std::size_t kSteps = 40;
   const std::size_t kCut = 20;
   for (const auto& kind : kKinds) {
-    auto a = make_engine(serve::ServeBackend::kSharded, 2);
-    auto b = make_engine(serve::ServeBackend::kScalar, 2);
+    auto a = make_engine(2);
+    testutil::ScalarOracle b(shared_bundle());
     const auto id_a = a->open_session("pat", kind, 1);
-    const auto id_b = b->open_session("pat", kind, 1);
+    b.open("pat", kind, 1);
     const auto stream = session_stream(77, kSteps);
     for (std::size_t k = 0; k < kCut; ++k) {
       const auto da = a->feed_one(id_a, stream[k]);
-      const auto db = b->feed_one(id_b, stream[k]);
+      const auto db = b.feed("pat", stream[k]);
       ASSERT_TRUE(testutil::decisions_equal(da, db)) << kind << " @" << k;
     }
     // Cross-restore.
-    auto a2 = make_engine(serve::ServeBackend::kScalar, 2);
-    auto b2 = make_engine(serve::ServeBackend::kSharded, 2);
-    const auto id_a2 = a2->restore(a->snapshot(id_a));
-    const auto id_b2 = b2->restore(b->snapshot(id_b));
+    testutil::ScalarOracle a2(shared_bundle());
+    auto b2 = make_engine(2);
+    a2.adopt("pat", a->snapshot(id_a).monitor);
+    serve::SessionSnapshot snap_b;
+    snap_b.patient_id = "pat";
+    snap_b.monitor_name = kind;
+    snap_b.patient_index = 1;
+    snap_b.stats = {.cycles = kCut, .alarms = b.alarms("pat")};
+    snap_b.monitor = b.monitor("pat").clone();
+    const auto id_b2 = b2->restore(snap_b);
     for (std::size_t k = kCut; k < kSteps; ++k) {
-      const auto da = a2->feed_one(id_a2, stream[k]);
+      const auto da = a2.feed("pat", stream[k]);
       const auto db = b2->feed_one(id_b2, stream[k]);
       ASSERT_TRUE(testutil::decisions_equal(da, db)) << kind << " @" << k;
     }

@@ -1,9 +1,10 @@
 // Float32 serving equivalence suite: a sharded engine configured with
 // monitor::Precision::kF32 (MLP/LSTM lanes through the float32 kernels,
-// weights cast once per generation) must agree with the float64 scalar
-// reference engine on the golden cohort — ZERO decision flips across every
-// monitor kind and session count, model probabilities within 1e-4, and
-// snapshots portable in both directions across precision modes.
+// weights cast once per generation) must agree with the float64 reference
+// oracle (testutil::ScalarOracle: scalar monitors stepped directly) on the
+// golden cohort — ZERO decision flips across every monitor kind and session
+// count, model probabilities within 1e-4, and snapshots portable in both
+// directions across precision modes.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -62,11 +63,10 @@ const core::ArtifactBundle& shared_bundle() {
   return *bundle;
 }
 
-std::unique_ptr<serve::MonitorEngine> make_engine(
-    serve::ServeBackend backend, monitor::Precision precision,
-    std::size_t threads) {
-  auto engine = std::make_unique<serve::MonitorEngine>(serve::EngineConfig{
-      .threads = threads, .backend = backend, .precision = precision});
+std::unique_ptr<serve::MonitorEngine> make_engine(monitor::Precision precision,
+                                                  std::size_t threads) {
+  auto engine = std::make_unique<serve::MonitorEngine>(
+      serve::EngineConfig{.threads = threads, .precision = precision});
   engine->register_bundle(shared_bundle());
   return engine;
 }
@@ -79,42 +79,41 @@ std::vector<monitor::Observation> session_stream(std::size_t session,
 
 TEST(ServeF32Equivalence, NoDecisionFlipsVsF64ScalarGoldenCohort) {
   // The acceptance gate: a mixed golden-cohort population served at kF32
-  // produces decision-for-decision the same stream as the f64 scalar
-  // reference, for sessions {1, 7, 64}.
+  // produces decision-for-decision the same stream as the f64 reference
+  // oracle, for sessions {1, 7, 64}.
   const std::size_t kSteps = 60;
   for (const std::size_t n : {1u, 7u, 64u}) {
-    auto f32 = make_engine(serve::ServeBackend::kSharded,
-                           monitor::Precision::kF32, 4);
-    auto ref = make_engine(serve::ServeBackend::kScalar,
-                           monitor::Precision::kF64, 1);
+    auto f32 = make_engine(monitor::Precision::kF32, 4);
+    testutil::ScalarOracle ref(shared_bundle());
 
-    std::vector<serve::SessionId> f32_ids, ref_ids;
+    std::vector<serve::SessionId> f32_ids;
+    std::vector<std::string> patients;
     std::vector<std::vector<monitor::Observation>> streams;
     for (std::size_t s = 0; s < n; ++s) {
       const std::string& kind = kKinds[s % kKinds.size()];
       const std::string patient = "p" + std::to_string(s);
       const int index = static_cast<int>(s) % kCohort;
       f32_ids.push_back(f32->open_session(patient, kind, index));
-      ref_ids.push_back(ref->open_session(patient, kind, index));
+      ref.open(patient, kind, index);
+      patients.push_back(patient);
       streams.push_back(session_stream(s, kSteps));
     }
 
     for (std::size_t k = 0; k < kSteps; ++k) {
-      std::vector<serve::SessionInput> f32_batch, ref_batch;
+      std::vector<serve::SessionInput> f32_batch;
       for (std::size_t s = 0; s < n; ++s) {
         f32_batch.push_back({f32_ids[s], streams[s][k]});
-        ref_batch.push_back({ref_ids[s], streams[s][k]});
       }
       const auto got = f32->feed(f32_batch);
-      const auto want = ref->feed(ref_batch);
       for (std::size_t s = 0; s < n; ++s) {
-        ASSERT_TRUE(testutil::decisions_equal(want[s], got[s]))
+        const auto want = ref.feed(patients[s], streams[s][k]);
+        ASSERT_TRUE(testutil::decisions_equal(want, got[s]))
             << "decision flip: sessions=" << n << " session " << s << " ("
             << kKinds[s % kKinds.size()] << ") cycle " << k;
       }
     }
     for (std::size_t s = 0; s < n; ++s) {
-      EXPECT_EQ(f32->stats(f32_ids[s]).alarms, ref->stats(ref_ids[s]).alarms)
+      EXPECT_EQ(f32->stats(f32_ids[s]).alarms, ref.alarms(patients[s]))
           << "session " << s;
     }
   }
@@ -126,29 +125,28 @@ TEST(ServeF32Equivalence, PerKindStreamsMatchAtSixtyFourSessions) {
   const std::size_t kSteps = 50;
   const std::size_t n = 64;
   for (const auto& kind : kKinds) {
-    auto f32 = make_engine(serve::ServeBackend::kSharded,
-                           monitor::Precision::kF32, 4);
-    auto ref = make_engine(serve::ServeBackend::kScalar,
-                           monitor::Precision::kF64, 1);
-    std::vector<serve::SessionId> f32_ids, ref_ids;
+    auto f32 = make_engine(monitor::Precision::kF32, 4);
+    testutil::ScalarOracle ref(shared_bundle());
+    std::vector<serve::SessionId> f32_ids;
+    std::vector<std::string> patients;
     std::vector<std::vector<monitor::Observation>> streams;
     for (std::size_t s = 0; s < n; ++s) {
       const std::string patient = kind + "-p" + std::to_string(s);
       const int index = static_cast<int>(s) % kCohort;
       f32_ids.push_back(f32->open_session(patient, kind, index));
-      ref_ids.push_back(ref->open_session(patient, kind, index));
+      ref.open(patient, kind, index);
+      patients.push_back(patient);
       streams.push_back(session_stream(s, kSteps));
     }
     for (std::size_t k = 0; k < kSteps; ++k) {
-      std::vector<serve::SessionInput> f32_batch, ref_batch;
+      std::vector<serve::SessionInput> f32_batch;
       for (std::size_t s = 0; s < n; ++s) {
         f32_batch.push_back({f32_ids[s], streams[s][k]});
-        ref_batch.push_back({ref_ids[s], streams[s][k]});
       }
       const auto got = f32->feed(f32_batch);
-      const auto want = ref->feed(ref_batch);
       for (std::size_t s = 0; s < n; ++s) {
-        ASSERT_TRUE(testutil::decisions_equal(want[s], got[s]))
+        const auto want = ref.feed(patients[s], streams[s][k]);
+        ASSERT_TRUE(testutil::decisions_equal(want, got[s]))
             << kind << " session " << s << " cycle " << k;
       }
     }
@@ -202,38 +200,34 @@ TEST(ServeF32Equivalence, ModelProbabilitiesWithinTolerance) {
 TEST(ServeF32Equivalence, SnapshotsRoundTripAcrossPrecisionModes) {
   // Lane streaming state is precision-neutral: a session served at kF32
   // snapshots into a kF64 engine (and back) and continues its stream in
-  // agreement with the uninterrupted f64 reference.
+  // agreement with the uninterrupted f64 reference oracle.
   const std::size_t kSteps = 48;
   const std::size_t kCut = 24;
   for (const auto& kind : kKinds) {
-    auto f32 = make_engine(serve::ServeBackend::kSharded,
-                           monitor::Precision::kF32, 2);
-    auto ref = make_engine(serve::ServeBackend::kScalar,
-                           monitor::Precision::kF64, 1);
+    auto f32 = make_engine(monitor::Precision::kF32, 2);
+    testutil::ScalarOracle ref(shared_bundle());
     const auto id_a = f32->open_session("pat", kind, 1);
-    const auto id_r = ref->open_session("pat", kind, 1);
+    ref.open("pat", kind, 1);
     const auto stream = session_stream(77, kSteps);
     for (std::size_t k = 0; k < kCut; ++k) {
       const auto da = f32->feed_one(id_a, stream[k]);
-      const auto dr = ref->feed_one(id_r, stream[k]);
+      const auto dr = ref.feed("pat", stream[k]);
       ASSERT_TRUE(testutil::decisions_equal(da, dr)) << kind << " @" << k;
     }
     // f32 -> f64 restore, then f64 -> f32 restore at three-quarter cut.
-    auto f64_engine = make_engine(serve::ServeBackend::kSharded,
-                                  monitor::Precision::kF64, 2);
+    auto f64_engine = make_engine(monitor::Precision::kF64, 2);
     const auto id_b = f64_engine->restore(f32->snapshot(id_a));
     const std::size_t kCut2 = kCut + (kSteps - kCut) / 2;
     for (std::size_t k = kCut; k < kCut2; ++k) {
       const auto db = f64_engine->feed_one(id_b, stream[k]);
-      const auto dr = ref->feed_one(id_r, stream[k]);
+      const auto dr = ref.feed("pat", stream[k]);
       ASSERT_TRUE(testutil::decisions_equal(db, dr)) << kind << " @" << k;
     }
-    auto f32_again = make_engine(serve::ServeBackend::kSharded,
-                                 monitor::Precision::kF32, 2);
+    auto f32_again = make_engine(monitor::Precision::kF32, 2);
     const auto id_c = f32_again->restore(f64_engine->snapshot(id_b));
     for (std::size_t k = kCut2; k < kSteps; ++k) {
       const auto dc = f32_again->feed_one(id_c, stream[k]);
-      const auto dr = ref->feed_one(id_r, stream[k]);
+      const auto dr = ref.feed("pat", stream[k]);
       ASSERT_TRUE(testutil::decisions_equal(dc, dr)) << kind << " @" << k;
     }
     EXPECT_EQ(f32_again->stats(id_c).cycles, kSteps);
@@ -243,8 +237,7 @@ TEST(ServeF32Equivalence, SnapshotsRoundTripAcrossPrecisionModes) {
 TEST(ServeF32Equivalence, PrecisionReportedPerShard) {
   // The engine's precision config lands on the shard (and its batch) and
   // monitors without a float32 path keep reporting kF64.
-  auto f32 = make_engine(serve::ServeBackend::kSharded,
-                         monitor::Precision::kF32, 1);
+  auto f32 = make_engine(monitor::Precision::kF32, 1);
   (void)f32->open_session("p-mlp", "mlp", 0);
   (void)f32->open_session("p-guideline", "guideline", 0);
   // Behavior is observable through the stream equivalence above; here we

@@ -10,8 +10,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <deque>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -292,6 +294,48 @@ TEST(EngineGroup, ChurnKeepsRssFlat) {
   const std::size_t growth = after > warmed ? after - warmed : 0;
   EXPECT_LT(growth, 8u * 1024 * 1024)
       << "RSS grew " << growth / 1024 << " KiB across 10k open/close cycles";
+}
+
+TEST(EngineGroup, NoThreadStartsOrExitsWhileServing) {
+  // Every thread the group runs (one worker per replica plus each replica
+  // engine's pool) exists once construction returns, and none starts or
+  // exits while sessions open, tick and close: per-thread CPU accounting
+  // (servebench's traced run reconciles /proc task times with getrusage)
+  // is exact only over a fixed thread set.
+  serve::GroupConfig config;
+  config.replicas = 2;
+  config.engine.threads = 2;
+  serve::EngineGroup group(config);
+  group.register_bundle(shared_bundle());
+  const auto baseline = testutil::live_threads();
+  if (!baseline) GTEST_SKIP() << "/proc/self/task is unreadable";
+
+  constexpr std::size_t kFeeds = 200;
+  const auto stream = session_stream(11, kFeeds);
+  std::deque<serve::SessionId> live;
+  std::size_t next = 0;
+  const auto open_one = [&] {
+    const std::size_t s = next++;
+    live.push_back(group.open_session("steady-" + std::to_string(s),
+                                      kKinds[s % kKinds.size()],
+                                      static_cast<int>(s) % kCohort));
+  };
+  for (int i = 0; i < 8; ++i) open_one();
+  for (std::size_t k = 0; k < kFeeds; ++k) {
+    if (k % 10 == 9) {  // churn interleaved with the feeds
+      group.close_session(live.front());
+      live.pop_front();
+      open_one();
+    }
+    std::vector<serve::SessionInput> batch;
+    for (const serve::SessionId id : live) batch.push_back({id, stream[k]});
+    (void)group.feed(batch);
+    if (k % 50 == 49) {
+      (void)group.latency();
+      group.reset_latency();
+    }
+    ASSERT_EQ(testutil::live_threads(), baseline) << "feed " << k;
+  }
 }
 
 TEST(EngineGroup, NoDegradedTicksBelowDeadlinePressure) {

@@ -1,9 +1,18 @@
 // Shared synthetic fixtures for the serialization and serving tests:
 // tiny trained models, hand-built training artifacts, and deterministic
-// observation streams — all fast enough to train inside a unit test.
+// observation streams — all fast enough to train inside a unit test —
+// plus the serving suites' one reference oracle (ScalarOracle).
 #pragma once
 
 #include <cstdint>
+#include <filesystem>
+#include <map>
+#include <memory>
+#include <optional>
+#include <set>
+#include <stdexcept>
+#include <string>
+#include <system_error>
 #include <vector>
 
 #include "common/rng.h"
@@ -135,6 +144,77 @@ inline bool same_decision_stream(
     if (!decisions_equal(a.observe(obs), b.observe(obs))) return false;
   }
   return true;
+}
+
+/// The one reference oracle of the serving conformance suites: one scalar
+/// monitor::Monitor per patient, built by core::factory_from_bundle and
+/// stepped directly with observe() — no engine, shard, lane or pool in
+/// between. Served decisions are pinned bit-identical to it.
+class ScalarOracle {
+ public:
+  explicit ScalarOracle(const aps::core::ArtifactBundle& bundle)
+      : bundle_(bundle) {}
+
+  void open(const std::string& patient, const std::string& monitor_name,
+            int patient_index) {
+    auto it = factories_.find(monitor_name);
+    if (it == factories_.end()) {
+      it = factories_
+               .emplace(monitor_name,
+                        aps::core::factory_from_bundle(bundle_, monitor_name))
+               .first;
+    }
+    adopt(patient, it->second(patient_index));
+  }
+  /// Continue an already-running monitor, e.g. SessionSnapshot::monitor.
+  void adopt(const std::string& patient,
+             std::unique_ptr<aps::monitor::Monitor> monitor) {
+    if (!sessions_.emplace(patient, Session{std::move(monitor), 0}).second) {
+      throw std::invalid_argument("oracle already holds '" + patient + "'");
+    }
+  }
+  void close(const std::string& patient) { sessions_.erase(patient); }
+
+  aps::monitor::Decision feed(const std::string& patient,
+                              const aps::monitor::Observation& obs) {
+    Session& session = sessions_.at(patient);
+    const aps::monitor::Decision decision = session.monitor->observe(obs);
+    if (decision.alarm) ++session.alarms;
+    return decision;
+  }
+
+  [[nodiscard]] std::uint64_t alarms(const std::string& patient) const {
+    return sessions_.at(patient).alarms;
+  }
+  [[nodiscard]] const aps::monitor::Monitor& monitor(
+      const std::string& patient) const {
+    return *sessions_.at(patient).monitor;
+  }
+  [[nodiscard]] std::size_t size() const { return sessions_.size(); }
+
+ private:
+  struct Session {
+    std::unique_ptr<aps::monitor::Monitor> monitor;
+    std::uint64_t alarms = 0;
+  };
+  const aps::core::ArtifactBundle& bundle_;
+  std::map<std::string, aps::sim::MonitorFactory> factories_;
+  std::map<std::string, Session> sessions_;
+};
+
+/// Ids of this process's live OS threads (the entries of /proc/self/task),
+/// or nullopt where that directory is unreadable. Comparing id sets, not
+/// counts, also catches a thread that exits while another starts.
+inline std::optional<std::set<std::string>> live_threads() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return std::nullopt;
+  std::set<std::string> tids;
+  for (; it != std::filesystem::directory_iterator(); it.increment(ec)) {
+    if (ec) return std::nullopt;
+    tids.insert(it->path().filename().string());
+  }
+  return tids;
 }
 
 }  // namespace aps::testutil
